@@ -76,7 +76,8 @@ def _run_level(service, rows, concurrency, n_requests):
                 probabilities[index] = probability
 
     engine = service.engine("cp8")
-    batches_before = len(engine.batch_sizes)
+    batches_before, rows_before = engine.n_batches, engine.n_batched_rows
+    engine.max_batch_observed = 0  # this level's maximum only
     threads = [
         threading.Thread(target=worker, args=(w,)) for w in range(concurrency)
     ]
@@ -88,7 +89,8 @@ def _run_level(service, rows, concurrency, n_requests):
     wall = time.perf_counter() - start
     if errors:
         raise errors[0]
-    level_batches = engine.batch_sizes[batches_before:]
+    level_batches = engine.n_batches - batches_before
+    level_rows = engine.n_batched_rows - rows_before
     ordered = sorted(latencies)
     return {
         "concurrency": concurrency,
@@ -98,10 +100,8 @@ def _run_level(service, rows, concurrency, n_requests):
         "p50": _percentile(ordered, 50),
         "p95": _percentile(ordered, 95),
         "p99": _percentile(ordered, 99),
-        "max_batch": max(level_batches) if level_batches else 0,
-        "mean_batch": (
-            sum(level_batches) / len(level_batches) if level_batches else 0.0
-        ),
+        "max_batch": engine.max_batch_observed,
+        "mean_batch": level_rows / level_batches if level_batches else 0.0,
         "probabilities": probabilities,
     }
 

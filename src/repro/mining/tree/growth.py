@@ -23,8 +23,8 @@ from repro.mining.tree.splitting import (
     SplitCandidate,
     best_categorical_split_chi2,
     best_categorical_split_f,
-    best_numeric_split_chi2,
-    best_numeric_split_f,
+    best_sorted_split_chi2,
+    best_sorted_split_f,
 )
 from repro.mining.tree.structure import Branch, TreeNode, partition_indices
 
@@ -87,38 +87,40 @@ def _best_split(
     features: FeatureSet,
     y: np.ndarray,
     idx: np.ndarray,
+    sorted_rows: list[np.ndarray | None],
     config: TreeConfig,
     mode: str,
 ) -> SplitCandidate | None:
-    """Most significant candidate over all features for rows ``idx``."""
+    """Most significant candidate over all features for rows ``idx``.
+
+    ``sorted_rows`` holds, per numeric feature, the rows of ``idx``
+    with a present value in stable value order (None for nominal
+    features).
+    """
     best: SplitCandidate | None = None
     y_sub = y[idx]
     if mode == "chi2" and (y_sub.min() == y_sub.max()):
         return None  # pure node
-    for feature in features.features:
-        values = feature.values[idx]
-        if feature.is_numeric:
-            if mode == "chi2":
-                candidate = best_numeric_split_chi2(
-                    feature.name, values, y_sub, config.min_leaf,
-                    config.max_candidates, config.bonferroni,
-                )
-            else:
-                candidate = best_numeric_split_f(
-                    feature.name, values, y_sub, config.min_leaf,
-                    config.max_candidates, config.bonferroni,
-                )
+    if mode == "chi2":
+        numeric_split, nominal_split = (
+            best_sorted_split_chi2, best_categorical_split_chi2
+        )
+    else:
+        numeric_split, nominal_split = (
+            best_sorted_split_f, best_categorical_split_f
+        )
+    for feature, rows in zip(features.features, sorted_rows):
+        if rows is not None:
+            candidate = numeric_split(
+                feature.name, feature.values[rows], y[rows],
+                idx.size - rows.size, config.min_leaf,
+                config.max_candidates, config.bonferroni,
+            )
         else:
-            if mode == "chi2":
-                candidate = best_categorical_split_chi2(
-                    feature.name, values, feature.n_levels, y_sub,
-                    config.min_leaf, config.merge_alpha, config.bonferroni,
-                )
-            else:
-                candidate = best_categorical_split_f(
-                    feature.name, values, feature.n_levels, y_sub,
-                    config.min_leaf, config.merge_alpha, config.bonferroni,
-                )
+            candidate = nominal_split(
+                feature.name, feature.values[idx], feature.n_levels, y_sub,
+                config.min_leaf, config.merge_alpha, config.bonferroni,
+            )
         if candidate is None:
             continue
         if best is None or (candidate.p_value, -candidate.statistic) < (
@@ -126,6 +128,19 @@ def _best_split(
         ):
             best = candidate
     return best
+
+
+def _presort(features: FeatureSet) -> list[np.ndarray | None]:
+    """Each numeric feature's rows with a present value, in stable value
+    order (NaNs sort last and are cut off); None for nominal features."""
+    sorted_rows: list[np.ndarray | None] = []
+    for feature in features.features:
+        if not feature.is_numeric:
+            sorted_rows.append(None)
+            continue
+        order = np.argsort(feature.values, kind="stable")
+        sorted_rows.append(order[: np.count_nonzero(~np.isnan(feature.values))])
+    return sorted_rows
 
 
 def _build_branches(
@@ -174,7 +189,17 @@ def grow_tree(
     Growth is best-first on (adjusted p-value, −statistic): the most
     significant available expansion anywhere in the tree is applied
     next, so a leaf budget truncates the least important structure —
-    mirroring how an analyst sizes a SAS tree.
+    mirroring how an analyst sizes a SAS tree.  A single-leaf result
+    on a mixed target is not an error: the significance gate can
+    legitimately refuse every split, and callers see a single-leaf
+    majority model.
+
+    Numeric features are sorted once, here.  An open node carries each
+    numeric feature's present rows in value order, and expanding it
+    splits those arrays among its children with a stable boolean
+    partition.  Child rows keep the root's order, which sorts by
+    (value, row index) — the order a stable sort of the node's rows
+    would give, since a node's row indices ascend.
     """
     if mode not in ("chi2", "f"):
         raise ConfigurationError(f"mode must be 'chi2' or 'f', got {mode!r}")
@@ -185,17 +210,22 @@ def grow_tree(
 
     ids = itertools.count(0)
     root = TreeNode(next(ids), 0, n, float(np.mean(y)))
-    all_idx = np.arange(n, dtype=np.int64)
-    heap: list[tuple[float, float, int, TreeNode, np.ndarray, SplitCandidate]] = []
+    heap: list[
+        tuple[
+            float, float, int, TreeNode, np.ndarray,
+            list[np.ndarray | None], SplitCandidate,
+        ]
+    ] = []
     tiebreak = itertools.count()
+    branch_of = np.empty(n, dtype=np.int64)  # child index of each row
 
-    def consider(node: TreeNode, idx: np.ndarray) -> None:
-        if (
-            idx.size < config.min_split
-            or node.depth >= config.max_depth
-        ):
-            return
-        split = _best_split(features, y, idx, config, mode)
+    def splittable(node: TreeNode, idx: np.ndarray) -> bool:
+        return idx.size >= config.min_split and node.depth < config.max_depth
+
+    def consider(
+        node: TreeNode, idx: np.ndarray, sorted_rows: list[np.ndarray | None]
+    ) -> None:
+        split = _best_split(features, y, idx, sorted_rows, config, mode)
         if split is None or split.p_value > config.alpha:
             return
         heapq.heappush(
@@ -206,16 +236,19 @@ def grow_tree(
                 next(tiebreak),
                 node,
                 idx,
+                sorted_rows,
                 split,
             ),
         )
 
-    consider(root, all_idx)
+    all_idx = np.arange(n, dtype=np.int64)
+    if splittable(root, all_idx):
+        consider(root, all_idx, _presort(features))
     n_leaves = 1
     n_nodes = 1
     max_depth_seen = 0
     while heap:
-        _p, _s, _t, node, idx, split = heapq.heappop(heap)
+        _p, _s, _t, node, idx, sorted_rows, split = heapq.heappop(heap)
         feature = next(
             f for f in features.features if f.name == split.feature
         )
@@ -234,18 +267,28 @@ def grow_tree(
             continue
         n_leaves += added
         n_nodes += added + 1
-        for branch, sub in parts:
+        for k, (branch, sub) in enumerate(parts):
+            branch_of[sub] = k
             child = branch.child
             child.n_samples = int(sub.size)
             if sub.size:
                 child.prediction = float(np.mean(y[sub]))
             max_depth_seen = max(max_depth_seen, child.depth)
-            consider(child, sub)
-
-    if n_nodes == 1 and mode == "chi2" and len(np.unique(y)) > 1:
-        # Not an error: the significance gate can legitimately refuse
-        # every split; callers see a single-leaf majority model.
-        pass
+        growing = [
+            (k, branch.child, sub)
+            for k, (branch, sub) in enumerate(parts)
+            if splittable(branch.child, sub)
+        ]
+        if not growing:
+            continue
+        labels = [
+            None if rows is None else branch_of[rows] for rows in sorted_rows
+        ]
+        for k, child, sub in growing:
+            consider(child, sub, [
+                None if rows is None else rows[label == k]
+                for rows, label in zip(sorted_rows, labels)
+            ])
     return GrownTree(
         root=root, n_leaves=n_leaves, n_nodes=n_nodes, depth=max_depth_seen
     )

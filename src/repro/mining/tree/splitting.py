@@ -22,20 +22,30 @@ Both tests are implemented here as vectorised scans:
 
 Reported p-values are Bonferroni-adjusted by the number of candidate
 thresholds examined, the classical CHAID multiplicity correction.
+They come from the ``scipy.special`` survival ufuncs ``chdtrc`` and
+``fdtrc``, which ``scipy.stats``' ``chi2.sf``/``f.sf`` evaluate after
+argument checks the split search does not need.
+
+Tree growth sorts each numeric feature once and hands every node its
+present values already in order (``best_sorted_split_*``); the
+``best_numeric_split_*`` entry points sort a node's values themselves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, fdtrc
 
 __all__ = [
     "SplitCandidate",
     "best_numeric_split_chi2",
+    "best_sorted_split_chi2",
     "best_categorical_split_chi2",
     "best_numeric_split_f",
+    "best_sorted_split_f",
     "best_categorical_split_f",
     "chi_square_2x2",
     "f_statistic",
@@ -115,7 +125,7 @@ def chi_square_table(table: np.ndarray) -> tuple[float, float, int]:
     mask = expected > 0
     chi2 = float((((table - expected) ** 2)[mask] / expected[mask]).sum())
     dof = max(1, (np.count_nonzero(row > 0) - 1) * (np.count_nonzero(col > 0) - 1))
-    p = float(stats.chi2.sf(chi2, dof))
+    p = float(chdtrc(dof, chi2))
     return chi2, p, dof
 
 
@@ -165,18 +175,59 @@ def _candidate_positions(
     n = sorted_values.shape[0]
     if n < 2 * min_leaf:
         return np.empty(0, dtype=np.int64)
-    boundaries = np.flatnonzero(np.diff(sorted_values) > 0)
-    lo, hi = min_leaf - 1, n - min_leaf - 1
-    boundaries = boundaries[(boundaries >= lo) & (boundaries <= hi)]
+    # Boundary i (x[i] < x[i+1]) leaves i+1 rows on the left.
+    lo, hi = max(min_leaf - 1, 0), min(n - min_leaf, n - 1)
+    boundaries = (
+        np.flatnonzero(sorted_values[lo + 1 : hi + 1] > sorted_values[lo:hi])
+        + lo
+    )
     if boundaries.size > max_candidates:
+        # More boundaries than picks puts the picks more than 1 apart,
+        # so their integer parts are already distinct.
         picks = np.linspace(0, boundaries.size - 1, max_candidates).astype(int)
-        boundaries = boundaries[np.unique(picks)]
+        boundaries = boundaries[picks]
     return boundaries
 
 
 # ---------------------------------------------------------------------------
 # numeric splits
 # ---------------------------------------------------------------------------
+
+def _sort_present(
+    values: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Present values and their targets in stable value order, plus the
+    number of missing values."""
+    present = ~np.isnan(values)
+    x = values[present]
+    order = np.argsort(x, kind="stable")
+    return x[order], y[present][order], values.shape[0] - x.shape[0]
+
+
+def _numeric_candidate(
+    feature_name: str,
+    x_sorted: np.ndarray,
+    positions: np.ndarray,
+    best: int,
+    statistic: float,
+    raw_p: float,
+    n_missing: int,
+    min_leaf: int,
+    bonferroni: bool,
+) -> SplitCandidate:
+    threshold = float(
+        (x_sorted[positions[best]] + x_sorted[positions[best] + 1]) / 2.0
+    )
+    return SplitCandidate(
+        feature=feature_name,
+        is_numeric=True,
+        statistic=statistic,
+        p_value=_bonferroni(raw_p, positions.size) if bonferroni else raw_p,
+        n_candidates=int(positions.size),
+        threshold=threshold,
+        has_missing_branch=n_missing >= min_leaf,
+    )
+
 
 def best_numeric_split_chi2(
     feature_name: str,
@@ -187,14 +238,25 @@ def best_numeric_split_chi2(
     bonferroni: bool = True,
 ) -> SplitCandidate | None:
     """Best binary χ² split of a numeric feature on a 0/1 target."""
-    present = ~np.isnan(values)
-    x = values[present]
-    t = y[present]
-    if x.shape[0] < 2 * min_leaf:
-        return None
-    order = np.argsort(x, kind="stable")
-    x_sorted = x[order]
-    t_sorted = t[order]
+    x_sorted, t_sorted, n_missing = _sort_present(values, y)
+    return best_sorted_split_chi2(
+        feature_name, x_sorted, t_sorted, n_missing, min_leaf,
+        max_candidates, bonferroni,
+    )
+
+
+def best_sorted_split_chi2(
+    feature_name: str,
+    x_sorted: np.ndarray,
+    t_sorted: np.ndarray,
+    n_missing: int,
+    min_leaf: int,
+    max_candidates: int = 64,
+    bonferroni: bool = True,
+) -> SplitCandidate | None:
+    """:func:`best_numeric_split_chi2` of a node whose present values
+    ``x_sorted`` (targets ``t_sorted``) are already in stable sorted
+    order; ``n_missing`` rows of the node lack a value."""
     positions = _candidate_positions(x_sorted, min_leaf, max_candidates)
     if positions.size == 0:
         return None
@@ -210,20 +272,9 @@ def best_numeric_split_chi2(
     chi2 = chi_square_2x2(a, b, c, d)
     best = int(np.argmax(chi2))
     statistic = float(chi2[best])
-    raw_p = float(stats.chi2.sf(statistic, 1))
-    p = _bonferroni(raw_p, positions.size) if bonferroni else raw_p
-    threshold = float(
-        (x_sorted[positions[best]] + x_sorted[positions[best] + 1]) / 2.0
-    )
-    n_missing = int((~present).sum())
-    return SplitCandidate(
-        feature=feature_name,
-        is_numeric=True,
-        statistic=statistic,
-        p_value=p,
-        n_candidates=int(positions.size),
-        threshold=threshold,
-        has_missing_branch=n_missing >= min_leaf,
+    return _numeric_candidate(
+        feature_name, x_sorted, positions, best, statistic,
+        float(chdtrc(1, statistic)), n_missing, min_leaf, bonferroni,
     )
 
 
@@ -236,14 +287,24 @@ def best_numeric_split_f(
     bonferroni: bool = True,
 ) -> SplitCandidate | None:
     """Best binary F-test split of a numeric feature on an interval target."""
-    present = ~np.isnan(values)
-    x = values[present]
-    t = y[present]
-    if x.shape[0] < 2 * min_leaf:
-        return None
-    order = np.argsort(x, kind="stable")
-    x_sorted = x[order]
-    t_sorted = t[order]
+    x_sorted, t_sorted, n_missing = _sort_present(values, y)
+    return best_sorted_split_f(
+        feature_name, x_sorted, t_sorted, n_missing, min_leaf,
+        max_candidates, bonferroni,
+    )
+
+
+def best_sorted_split_f(
+    feature_name: str,
+    x_sorted: np.ndarray,
+    t_sorted: np.ndarray,
+    n_missing: int,
+    min_leaf: int,
+    max_candidates: int = 64,
+    bonferroni: bool = True,
+) -> SplitCandidate | None:
+    """:func:`best_numeric_split_f` on presorted present values, as
+    :func:`best_sorted_split_chi2`."""
     positions = _candidate_positions(x_sorted, min_leaf, max_candidates)
     if positions.size == 0:
         return None
@@ -260,26 +321,89 @@ def best_numeric_split_f(
     )
     best = int(np.argmax(f))
     statistic = float(f[best])
-    raw_p = float(stats.f.sf(statistic, df1, df2))
-    p = _bonferroni(raw_p, positions.size) if bonferroni else raw_p
-    threshold = float(
-        (x_sorted[positions[best]] + x_sorted[positions[best] + 1]) / 2.0
-    )
-    n_missing = int((~present).sum())
-    return SplitCandidate(
-        feature=feature_name,
-        is_numeric=True,
-        statistic=statistic,
-        p_value=p,
-        n_candidates=int(positions.size),
-        threshold=threshold,
-        has_missing_branch=n_missing >= min_leaf,
+    return _numeric_candidate(
+        feature_name, x_sorted, positions, best, statistic,
+        float(fdtrc(df1, df2, statistic)), n_missing, min_leaf, bonferroni,
     )
 
 
 # ---------------------------------------------------------------------------
 # categorical splits with CHAID-style level merging
 # ---------------------------------------------------------------------------
+#
+# Each merge round scores every pair of current groups at once, pairs in
+# row-major ``np.triu_indices`` order.  ``_most_similar`` takes the
+# first maximum p-value in that order and never a NaN one, so it picks
+# the pair a nested ``for i: for j > i:`` scan keeping strict ``p >
+# best`` would.  Group totals are summed from the level arrays exactly
+# as such a scan would sum them; only the merged group's are recomputed.
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``i < j`` of ``k`` groups, in row-major order."""
+    i, j = np.triu_indices(k, k=1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _most_similar(p: np.ndarray) -> int | None:
+    """Index of the first maximum of ``p`` ignoring NaNs (None if all
+    are NaN)."""
+    valid = ~np.isnan(p)
+    if not valid.any():
+        return None
+    return int(np.argmax(np.where(valid, p, -np.inf)))
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` taken one element at a time with scalar ``**``.
+
+    Scalar ``**`` is libm ``pow``, which disagrees with numpy's
+    vectorised square in the last bit on about 0.1% of inputs.  The
+    merge statistics are defined on one pair's scalar totals, so
+    squaring through here keeps every merge p-value equal to that
+    scalar definition.
+    """
+    return np.array([v**2 for v in x.tolist()], dtype=np.float64)
+
+
+def _pair_chi2(
+    pos_tot: np.ndarray, neg_tot: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """:func:`chi_square_2x2` of groups ``i`` against groups ``j``."""
+    a, b, c, d = pos_tot[i], neg_tot[i], pos_tot[j], neg_tot[j]
+    n = a + b + c + d
+    num = n * _pow2(a * d - b * c)
+    den = (a + b) * (c + d) * (a + c) * (b + d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / np.maximum(den, _EPS), 0.0)
+
+
+def _pair_f(
+    count_tot: np.ndarray,
+    sum_tot: np.ndarray,
+    sqsum_tot: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`f_statistic` of groups ``i`` against groups ``j`` (each
+    pair alone), with its second degrees of freedom."""
+    n = (count_tot[i] + count_tot[j]).astype(np.int64)
+    grand_mean_ss = _pow2(sum_tot[i] + sum_tot[j]) / np.maximum(n, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(
+            count_tot > 0, sum_tot**2 / np.maximum(count_tot, _EPS), 0.0
+        )
+        between = term[i] + term[j] - grand_mean_ss
+        within = np.maximum(
+            sqsum_tot[i] + sqsum_tot[j] - grand_mean_ss - between, 0.0
+        )
+        df2 = np.maximum(n - 2, 1)
+        f = between / np.maximum(within / df2, _EPS)
+    return np.maximum(f, 0.0), df2
+
 
 def _merge_groups_chi2(
     groups: list[list[int]],
@@ -288,25 +412,21 @@ def _merge_groups_chi2(
     merge_alpha: float,
 ) -> list[list[int]]:
     """Greedily merge the most similar pair while insignificant."""
+    pos_tot = np.array([pos[g].sum() for g in groups])
+    neg_tot = np.array([neg[g].sum() for g in groups])
     while len(groups) > 2:
-        best_pair = None
-        best_p = -1.0
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                a = pos[groups[i]].sum()
-                b = neg[groups[i]].sum()
-                c = pos[groups[j]].sum()
-                d = neg[groups[j]].sum()
-                chi2 = float(chi_square_2x2(a, b, c, d))
-                p = float(stats.chi2.sf(chi2, 1))
-                if p > best_p:
-                    best_p = p
-                    best_pair = (i, j)
-        if best_pair is None or best_p < merge_alpha:
+        i_pair, j_pair = _pairs(len(groups))
+        p = chdtrc(1, _pair_chi2(pos_tot, neg_tot, i_pair, j_pair))
+        best = _most_similar(p)
+        if best is None or p[best] < merge_alpha:
             break
-        i, j = best_pair
+        i, j = int(i_pair[best]), int(j_pair[best])
         groups[i] = groups[i] + groups[j]
         del groups[j]
+        pos_tot[i] = pos[groups[i]].sum()
+        neg_tot[i] = neg[groups[i]].sum()
+        pos_tot = np.delete(pos_tot, j)
+        neg_tot = np.delete(neg_tot, j)
     return groups
 
 
@@ -371,31 +491,25 @@ def _merge_groups_f(
     merge_alpha: float,
 ) -> list[list[int]]:
     """Greedy merge of level groups with the least-significant mean gap."""
+    count_tot = np.array([counts[g].sum() for g in groups])
+    sum_tot = np.array([sums[g].sum() for g in groups])
+    sqsum_tot = np.array([sqsums[g].sum() for g in groups])
     while len(groups) > 2:
-        best_pair = None
-        best_p = -1.0
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                gi, gj = groups[i], groups[j]
-                n = counts[gi].sum() + counts[gj].sum()
-                s = sums[gi].sum() + sums[gj].sum()
-                ss = sqsums[gi].sum() + sqsums[gj].sum()
-                f, df1, df2 = f_statistic(
-                    np.array([sums[gi].sum(), sums[gj].sum()]),
-                    np.array([counts[gi].sum(), counts[gj].sum()]),
-                    float(ss),
-                    float(s),
-                    int(n),
-                )
-                p = float(stats.f.sf(float(f), df1, df2))
-                if p > best_p:
-                    best_p = p
-                    best_pair = (i, j)
-        if best_pair is None or best_p < merge_alpha:
+        i_pair, j_pair = _pairs(len(groups))
+        f, df2 = _pair_f(count_tot, sum_tot, sqsum_tot, i_pair, j_pair)
+        p = fdtrc(1, df2, f)
+        best = _most_similar(p)
+        if best is None or p[best] < merge_alpha:
             break
-        i, j = best_pair
+        i, j = int(i_pair[best]), int(j_pair[best])
         groups[i] = groups[i] + groups[j]
         del groups[j]
+        count_tot[i] = counts[groups[i]].sum()
+        sum_tot[i] = sums[groups[i]].sum()
+        sqsum_tot[i] = sqsums[groups[i]].sum()
+        count_tot = np.delete(count_tot, j)
+        sum_tot = np.delete(sum_tot, j)
+        sqsum_tot = np.delete(sqsum_tot, j)
     return groups
 
 
@@ -444,7 +558,7 @@ def best_categorical_split_f(
         int(counts.sum()),
     )
     statistic = float(f)
-    raw_p = float(stats.f.sf(statistic, df1, df2))
+    raw_p = float(fdtrc(df1, df2, statistic))
     n_candidates = max(1, observed.size - 1)
     p = _bonferroni(raw_p, n_candidates) if bonferroni else raw_p
     n_missing = int((~present).sum())

@@ -209,7 +209,10 @@ class ScoringEngine:
         self.schema = scorer.input_schema()
         self.input_names = list(self.schema)
         self.cache = LRUResultCache(cache_size)
-        self.batch_sizes: list[int] = []
+        # Micro-batch counters, written by the worker thread only.
+        self.n_batches = 0
+        self.n_batched_rows = 0
+        self.max_batch_observed = 0
         self.n_scored = 0
         self.bulk_batches = 0
         self.bulk_rows = 0
@@ -449,7 +452,9 @@ class ScoringEngine:
                     self._stopping = True
                     break
                 batch.append(item)
-            self.batch_sizes.append(len(batch))
+            self.n_batched_rows += len(batch)
+            self.max_batch_observed = max(self.max_batch_observed, len(batch))
+            self.n_batches += 1
             self._score_pendings(batch)
             if self._stopping:
                 break
@@ -509,13 +514,13 @@ class ScoringEngine:
 
     def stats(self) -> dict:
         """Counters for ``GET /metrics``: requests, batches, cache."""
-        sizes = self.batch_sizes
+        batches = self.n_batches
         return {
             "rows_scored": self.n_scored,
-            "batches": len(sizes),
-            "max_batch_observed": max(sizes) if sizes else 0,
+            "batches": batches,
+            "max_batch_observed": self.max_batch_observed,
             "mean_batch_size": (
-                sum(sizes) / len(sizes) if sizes else float("nan")
+                self.n_batched_rows / batches if batches else float("nan")
             ),
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,

@@ -103,8 +103,8 @@ class TestMicroBatching:
             for t in threads:
                 t.join()
             assert len(results) == 24
-            assert max(engine.batch_sizes) > 1
-            assert sum(engine.batch_sizes) == 24
+            assert engine.max_batch_observed > 1
+            assert engine.n_batched_rows == 24
         finally:
             engine.close()
 
@@ -114,7 +114,7 @@ class TestMicroBatching:
         )
         try:
             engine.score_many(segment_rows[:12])
-            assert max(engine.batch_sizes) <= 4
+            assert engine.max_batch_observed <= 4
         finally:
             engine.close()
 

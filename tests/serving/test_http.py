@@ -244,8 +244,8 @@ class TestEndToEndParity:
             assert not errors
             assert len(results) == 12
             engine = service.engine("cp8")
-            assert max(engine.batch_sizes) > 1
-            assert sum(engine.batch_sizes) == 36
+            assert engine.max_batch_observed > 1
+            assert engine.n_batched_rows == 36
 
 
 class TestShardedBatchThroughService:
